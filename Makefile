@@ -17,6 +17,10 @@
 #                       skips below 4 cores; the benchmark pins its own scale)
 #   make bench-shell  - shell-assembly + voxelize-compose microbench vs the
 #                       per-tile oracle (the benchmark pins its own scale)
+#   make servebench-smoke
+#                     - the serving benchmark (servebench/) on reduced inputs,
+#                       traced, once per workload; fails when a layer it
+#                       wraps from outside src/ is renamed or removed
 #   make bench-compare BASE=a.json CAND=b.json
 #                     - diff two bench-* --json payloads; exits 1 on a >10%
 #                       throughput regression (scripts/bench_compare.py)
@@ -27,7 +31,7 @@ SMOKE_SCALE ?= 0.1
 
 export PYTHONPATH
 
-.PHONY: test test-fast bench bench-smoke engine-bench bench-cluster bench-stream bench-fleet bench-workers bench-shell bench-compare
+.PHONY: test test-fast bench bench-smoke engine-bench bench-cluster bench-stream bench-fleet bench-workers bench-shell servebench-smoke bench-compare
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -65,6 +69,12 @@ bench-workers:
 
 bench-shell:
 	$(PYTHON) -m pytest benchmarks/test_shell_assembly.py -q
+
+servebench-smoke:
+	for w in drive convoy sweep; do \
+		python3 servebench/run.py --workload $$w --seed 1 --seconds 5 \
+			--smoke --trace 1 || exit 1; \
+	done
 
 bench-compare:
 	$(PYTHON) scripts/bench_compare.py $(BASE) $(CAND)

@@ -866,27 +866,15 @@ def _fleet_specs(args) -> list[StreamSpec]:
     return specs
 
 
-def _reject_no_batch(args) -> None:
-    if getattr(args, "no_batch", False):
-        raise CLIError(
-            "--no-batch was removed: the per-tile front no longer serves "
-            "traffic (it survives as repro.stream.incremental.PerTileOracle "
-            "for property tests and ablation benchmarks)"
-        )
-
-
 def _build_fleet_session(args) -> FleetSession:
     """Shared serve-fleet / bench-fleet session construction."""
-    _reject_no_batch(args)
     return FleetSession(
         _fleet_specs(args),
         backends=_parse_backends(args.backends),
         n_shards=args.shards,
         tile_size=args.tile_size,
         halo=args.halo,
-        min_points_per_tile=args.min_tile_points,
         use_tiles=not args.no_tiles,
-        share_world_tiles=not args.no_share,
         workers=args.workers,
     )
 
@@ -978,7 +966,6 @@ def cmd_bench_fleet(args) -> int:
         spec.name: StreamSession(
             spec.sequence, spec.benchmark, backends=backends,
             scale=spec.scale, tile_size=args.tile_size, halo=args.halo,
-            min_points_per_tile=args.min_tile_points,
             use_tiles=not args.no_tiles, tenant=spec.name,
         )
         for spec in specs
@@ -1041,7 +1028,6 @@ def cmd_bench_fleet(args) -> int:
 
 def _build_stream_session(args) -> StreamSession:
     """Shared serve-stream / bench-stream session construction."""
-    _reject_no_batch(args)
     if args.workers > 0 and args.shards < 1:
         raise ValueError("--workers requires a cluster (--shards > 0)")
     sequence = FrameSequence(SequenceConfig(
@@ -1063,14 +1049,13 @@ def _build_stream_session(args) -> StreamSession:
             n_shards=args.shards,
             backends=_parse_backends(args.backends),
             tile_cache=(
-                TileMapCache(
-                    tile_size=args.tile_size, halo=args.halo,
-                    min_points_per_tile=args.min_tile_points,
-                )
+                TileMapCache(tile_size=args.tile_size, halo=args.halo)
                 if not args.no_tiles else None
             ),
             map_cache=streaming_map_cache,
             workers=args.workers,
+            # Frame request keys carry the frame index and never recur.
+            reuse_traces=False,
         )
     return StreamSession(
         sequence,
@@ -1080,7 +1065,6 @@ def _build_stream_session(args) -> StreamSession:
         scale=args.scale,
         tile_size=args.tile_size,
         halo=args.halo,
-        min_points_per_tile=args.min_tile_points,
         use_tiles=not args.no_tiles,
         deadline_ms=args.deadline_ms,
         period_ms=args.period_ms,
@@ -1223,13 +1207,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="halo width in tiles for kNN/ball query")
         p.add_argument("--no-tiles", action="store_true",
                        help="disable the tile front (digest tiers only)")
-        p.add_argument("--min-tile-points", type=int, default=0,
-                       help="small-cloud bypass: skip tile decomposition "
-                            "when a cloud has fewer than this many points "
-                            "per occupied tile (0 = off)")
-        p.add_argument("--no-batch", action="store_true",
-                       help="removed: the per-tile front no longer serves "
-                            "traffic (passing this flag is an error)")
         p.add_argument("--backends", default="pointacc")
         p.add_argument("--shards", type=int, default=0,
                        help="> 0 serves through an engine cluster")
@@ -1280,15 +1257,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--halo", type=int, default=1)
         p.add_argument("--no-tiles", action="store_true",
                        help="disable the tile front (digest tiers only)")
-        p.add_argument("--min-tile-points", type=int, default=0,
-                       help="small-cloud bypass: skip tile decomposition "
-                            "when a cloud has fewer than this many points "
-                            "per occupied tile (0 = off)")
-        p.add_argument("--no-batch", action="store_true",
-                       help="removed: the per-tile front no longer serves "
-                            "traffic (passing this flag is an error)")
-        p.add_argument("--no-share", action="store_true",
-                       help="drop the WorldTileStore attribution front")
         p.add_argument("--backends", default="pointacc")
         p.add_argument("--shards", type=int, default=2,
                        help="cluster shards (0 = single shared engine)")

@@ -120,22 +120,19 @@ class FleetSession:
         the session builds its own from ``n_shards`` — an
         :class:`~repro.cluster.EngineCluster` for ``n_shards >= 1`` (the
         QoS path), or a single large-L1 engine for ``n_shards == 0``.
-        Injected executors bring their own cache fronts; the ``tile_*`` /
-        sharing parameters then do not apply.
-    share_world_tiles:
-        Wrap the tile front in a :class:`~repro.fleet.WorldTileStore`
-        (default).  ``False`` keeps the bare
-        :class:`~repro.stream.TileMapCache` — sub-results still flow
-        through the shared chain (content keys carry no stream identity),
-        but hits are not attributed self/cross.
-    tile_size / halo / voxel_tile / min_points / min_points_per_tile /
-    use_tiles / incremental_voxelize:
+        Injected executors bring their own cache fronts; the ``tile_*``
+        parameters then do not apply.  Like
+        :class:`~repro.stream.StreamSession`, the session-built executor
+        keeps no request-level trace/report memo (``reuse_traces=False``):
+        frame request keys carry the frame index and never recur.
+    tile_size / halo / voxel_tile / min_points / use_tiles:
         Tile-front configuration for the session-built executor, as in
-        :class:`~repro.stream.StreamSession` (``min_points_per_tile`` is
-        the small-cloud density bypass).  The per-tile serving mode is
-        retired; inject an executor built around
+        :class:`~repro.stream.StreamSession`.  The front is always a
+        :class:`~repro.stream.TileMapCache` wrapped in a
+        :class:`~repro.fleet.WorldTileStore`, which attributes each tile
+        hit self vs cross-stream.  Inject an executor built around
         :class:`~repro.stream.incremental.PerTileOracle` to benchmark
-        against the reference front.
+        against the per-tile reference front.
     geometry_only:
         ``"auto"`` (default) enables geometry-only execution per stream
         exactly for SparseConv-family networks; booleans force it
@@ -176,10 +173,7 @@ class FleetSession:
         halo: int = 1,
         voxel_tile: int = 48,
         min_points: int = 256,
-        min_points_per_tile: int = 0,
         use_tiles: bool = True,
-        incremental_voxelize: bool = True,
-        share_world_tiles: bool = True,
         geometry_only: bool | str = "auto",
         cache_dir=None,
         l2="auto",
@@ -224,18 +218,14 @@ class FleetSession:
         else:
             front = None
             if use_tiles:
-                front = TileMapCache(
+                front = WorldTileStore(TileMapCache(
                     tile_size=tile_size, halo=halo, voxel_tile=voxel_tile,
                     min_points=min_points,
-                    min_points_per_tile=min_points_per_tile,
-                    incremental_voxelize=incremental_voxelize,
                     # Rounds interleave every stream through one shared
                     # composer: it must remember at least one composition
                     # per stream per family or the delta splice starves.
                     compose_records=max(4, len(self.streams) + 2),
-                )
-                if share_world_tiles:
-                    front = WorldTileStore(front)
+                ))
             self.tile_cache = front
             if n_shards >= 1:
                 from ..cluster.cluster import EngineCluster
@@ -250,6 +240,7 @@ class FleetSession:
                     tile_cache=front,
                     map_cache=streaming_map_cache,
                     workers=workers,
+                    reuse_traces=False,
                 )
             else:
                 self.executor = SimulationEngine(
@@ -257,6 +248,7 @@ class FleetSession:
                     policy=policy,
                     map_cache=streaming_map_cache(),
                     tile_cache=front,
+                    reuse_traces=False,
                 )
         self._stats = FleetStats()
         self._next_frame = {spec.name: 0 for spec in self.streams}

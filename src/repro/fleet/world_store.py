@@ -48,10 +48,9 @@ _TILE_SUFFIX = "/tile"
 
 def _base_op(op: str) -> str:
     """Chain sub-lookups are labelled ``<op>/tile``; attribute to ``<op>``
-    so the books line up with the inner front's per-op counters.  The
-    batched planner's whole-call probes arrive as ``<op>/whole`` and keep
-    that label on both sides of the accounting — the inner front counts
-    them under the same op string, so the partition invariant holds."""
+    so the books line up with the inner front's per-op counters (every
+    lookup the planner makes is a tile lookup, so the two sides count the
+    same events and the partition invariant holds)."""
     if op.endswith(_TILE_SUFFIX):
         return op[: -len(_TILE_SUFFIX)]
     return op

@@ -18,11 +18,10 @@ structured event log fed by the serving stack's cache layers:
     400.
 
 ``call`` events
-    One per whole mapping call the front handled: either
-    ``cause="probe_hit"`` (the whole-call content probe hit, nothing was
-    decomposed — ``tiles=0``) or ``cause="planned"`` with the planned
-    tile count.  Per ``(frame, op)`` the tile-event counts sum exactly to
-    the planned tile counts — the completeness invariant
+    One per whole mapping call the front handled, ``cause="planned"``
+    with the planned tile count (every handled call is decomposed).  Per
+    ``(frame, op)`` the tile-event counts sum exactly to the planned tile
+    counts — the completeness invariant
     ``tests/properties/test_prop_ledger.py`` enforces.
 
 ``splice`` events
@@ -69,7 +68,6 @@ __all__ = [
 
 #: Every cause a planned tile can be classified as (exactly one per tile).
 TILE_CAUSES = (
-    "probe_hit",
     "l1_hit",
     "l2_hit",
     "disk_hit",
@@ -102,7 +100,6 @@ class RecomputeLedger:
         self.splice_outcomes: Counter = Counter()
         self.evictions: Dict[str, Dict[str, int]] = {}  # tier -> {count, bytes}
         self.calls = 0
-        self.probe_hits = 0
         self.planned_tiles = 0
         self._frame: Any = None  # stamped by ledger_frame()
 
@@ -125,15 +122,11 @@ class RecomputeLedger:
         self.causes[cause] += n
         self._emit("tile", op=op, cause=cause, n=int(n))
 
-    def call(self, op: str, tiles: int, cause: str = "planned") -> None:
-        """Record one whole mapping call the front handled."""
+    def call(self, op: str, tiles: int) -> None:
+        """Record one whole mapping call the front planned into tiles."""
         self.calls += 1
-        if cause == "probe_hit":
-            self.probe_hits += 1
-            self.causes["probe_hit"] += 1
-        else:
-            self.planned_tiles += int(tiles)
-        self._emit("call", op=op, cause=cause, tiles=int(tiles))
+        self.planned_tiles += int(tiles)
+        self._emit("call", op=op, cause="planned", tiles=int(tiles))
 
     def splice(self, op: str, outcome: str) -> None:
         """Record one compose outcome (kernel-map or voxelize splice)."""
@@ -163,7 +156,6 @@ class RecomputeLedger:
             "events": len(self._events),
             "dropped": self.dropped,
             "calls": self.calls,
-            "probe_hits": self.probe_hits,
             "planned_tiles": self.planned_tiles,
             "recomputed_tiles": recomputed,
             "causes": dict(self.causes),

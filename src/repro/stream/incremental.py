@@ -114,22 +114,18 @@ _KERNEL_PREFIX = "kernel_map/"
 class TileFrontStats:
     """Observable tile-front behaviour, per op and aggregate.
 
-    ``tile_hits``/``tile_misses`` count sub-problem lookups against the
-    chain — per-tile probes plus, on the plan path, the one whole-call
-    probe per decomposed op (booked under ``<op>/whole`` in ``by_op``);
-    ``fallback_rows`` counts query rows that needed a global recompute
-    (certificate failures), ``certified_rows`` the rows served from
-    tile-local answers.  ``decomposed_calls`` is how many whole-op calls
-    the front handled at all; ``bypassed_calls`` how many it declined
-    because the cloud fell under the ``min_points_per_tile`` density
-    floor.  The serving front's snapshot also carries the kernel-map
+    ``tile_hits``/``tile_misses`` count per-tile sub-problem lookups
+    against the chain, per op in ``by_op``; ``fallback_rows`` counts
+    query rows that needed a global recompute (certificate failures),
+    ``certified_rows`` the rows served from tile-local answers.
+    ``decomposed_calls`` is how many whole-op calls the front handled at
+    all.  The serving front's snapshot also carries the kernel-map
     composer's splice/full-sort/fallback counters under ``compose`` and
     the voxel merge composer's under ``vox_compose``.
     """
 
     def __init__(self) -> None:
         self.decomposed_calls = 0
-        self.bypassed_calls = 0
         self.tile_hits = 0
         self.tile_misses = 0
         self.certified_rows = 0
@@ -161,7 +157,6 @@ class TileFrontStats:
     def snapshot(self) -> dict:
         out = {
             "decomposed_calls": self.decomposed_calls,
-            "bypassed_calls": self.bypassed_calls,
             "tile_hits": self.tile_hits,
             "tile_misses": self.tile_misses,
             "tile_lookups": self.tile_lookups,
@@ -203,17 +198,6 @@ class TileMapCache:
         Ops on clouds smaller than this (either input) pass through to
         the digest tiers — tiny layers are cheaper to rehash whole than
         to decompose.
-    min_points_per_tile:
-        Density floor for the small-cloud bypass: a call whose driving
-        cloud has fewer than ``min_points_per_tile * n_occupied_tiles``
-        points skips tile decomposition entirely and takes the whole-op
-        digest path — sparse tiny frames are overhead-bound however the
-        tiles are walked.  ``0`` (default) disables the bypass; the
-        serving CLIs expose it as ``--min-tile-points``.
-    incremental_voxelize:
-        Decompose ``voxelize`` calls over grid tiles (default).  ``False``
-        sends voxelization down the whole-content digest path — the
-        pre-incremental behaviour, kept as an ablation/bisection knob.
     compose_records:
         Remembered compositions per family in the delta composers (the
         kernel-map row-order composer and the voxel merge composer).  A
@@ -233,8 +217,6 @@ class TileMapCache:
         halo: int = 1,
         voxel_tile: int = 48,
         min_points: int = 256,
-        min_points_per_tile: int = 0,
-        incremental_voxelize: bool = True,
         compose_records: int = 4,
     ) -> None:
         if tile_size <= 0:
@@ -243,10 +225,6 @@ class TileMapCache:
             raise ValueError(f"halo must be >= 0, got {halo}")
         if voxel_tile < 1:
             raise ValueError(f"voxel_tile must be >= 1, got {voxel_tile}")
-        if min_points_per_tile < 0:
-            raise ValueError(
-                f"min_points_per_tile must be >= 0, got {min_points_per_tile}"
-            )
         if compose_records < 1:
             raise ValueError(
                 f"compose_records must be >= 1, got {compose_records}"
@@ -255,8 +233,6 @@ class TileMapCache:
         self.halo = int(halo)
         self.voxel_tile = int(voxel_tile)
         self.min_points = int(min_points)
-        self.min_points_per_tile = int(min_points_per_tile)
-        self.incremental_voxelize = bool(incremental_voxelize)
         self._composer = _plan.KernelComposer(
             max_records_per_family=compose_records
         )
@@ -291,64 +267,24 @@ class TileMapCache:
         """True when this op decomposes into spatial tiles exactly."""
         if op == "voxelize":
             points = arrays[0]
-            ok = (
-                self.incremental_voxelize
-                and points.ndim == 2
+            return (
+                points.ndim == 2
                 and 1 <= points.shape[1] <= 3
                 and len(points) >= self.min_points
             )
-        elif op in ("knn", "ball_query") or op.startswith(_KERNEL_PREFIX):
+        if op in ("knn", "ball_query") or op.startswith(_KERNEL_PREFIX):
             if op.startswith(_KERNEL_PREFIX):
                 queries, references = arrays[1], arrays[0]  # out drives tiling
             else:
                 queries, references = arrays[0], arrays[1]
-            ok = (
+            return (
                 queries.ndim == 2
                 and references.ndim == 2
                 and 1 <= queries.shape[1] <= 3
                 and len(queries) >= self.min_points
                 and len(references) >= self.min_points
             )
-        else:
-            return False
-        if ok and self.min_points_per_tile > 0 and self._too_sparse(
-            op, arrays, params
-        ):
-            self._stats.bypassed_calls += 1
-            return False
-        return ok
-
-    def _too_sparse(self, op: str, arrays, params: dict) -> bool:
-        """The small-cloud bypass: fewer points than the density floor.
-
-        The decision partitions the op's driving cloud at the op's own
-        tile side (memoized, so a call that does decompose pays nothing
-        twice) and compares the cloud size against
-        ``min_points_per_tile * n_occupied_tiles``.  Untileable geometry
-        reports ``False`` here so :meth:`memoize`'s plain-compute
-        fallback keeps handling it.
-        """
-        try:
-            if op == "voxelize":
-                grid = np.floor(
-                    np.asarray(arrays[0]) / params["voxel_size"]
-                ).astype(np.int64)
-                # Through the content-keyed memo: a call that passes the
-                # density check re-uses this partition in the planner.
-                part = self._partition(grid, 4 * self.voxel_tile)
-                n = len(grid)
-            elif op.startswith(_KERNEL_PREFIX):
-                offsets = arrays[2]
-                reach = int(np.abs(offsets).max()) if len(offsets) else 0
-                side = max(self.voxel_tile, 2 * reach)
-                part = self._partition(arrays[1], side)
-                n = len(arrays[1])
-            else:
-                part = self._partition(arrays[0], self.tile_size)
-                n = len(arrays[0])
-        except ValueError:
-            return False
-        return n < self.min_points_per_tile * len(part)
+        return False
 
     def memoize(self, op: str, arrays, params: dict, compute, chain):
         try:

@@ -14,9 +14,12 @@ mapping work the tile tier reused.
 By default a session builds its own single engine with a
 :class:`~repro.stream.incremental.TileMapCache` front and requests
 geometry-only execution for SparseConv networks (where the trace is a
-pure function of coordinates — see :mod:`repro.nn.ghost`).  Pass a
-pre-built ``engine=`` or ``cluster=`` to reuse existing fleets; the
-session then respects their cache configuration.
+pure function of coordinates — see :mod:`repro.nn.ghost`).  That engine
+runs without the request-level trace/report memo (``reuse_traces=False``):
+every frame's request key carries its frame index, so the memo could
+never hit and would only grow by one trace per frame.  Pass a pre-built
+``engine=`` or ``cluster=`` to reuse existing fleets; the session then
+respects their cache configuration.
 """
 
 from __future__ import annotations
@@ -126,17 +129,12 @@ class StreamSession:
         Optional pre-built executor (at most one); when neither is given
         the session builds a single engine with a tile front from the
         ``tile_*`` parameters.
-    tile_size / halo / voxel_tile / use_tiles / incremental_voxelize:
+    tile_size / halo / voxel_tile / min_points / use_tiles:
         Tile-front configuration for the session-built engine (ignored
         when an executor is injected — configure that executor instead).
-        ``incremental_voxelize`` toggles the tile-decomposed voxelizer
-        (on by default; off = whole-content digest voxelization).
-    min_points_per_tile:
-        The small-cloud density bypass, passed straight to
-        :class:`~repro.stream.incremental.TileMapCache`.  (The per-tile
-        serving mode is retired; to benchmark against the reference
-        front, inject an ``engine=`` built around
-        :class:`~repro.stream.incremental.PerTileOracle`.)
+        To benchmark against the per-tile reference front, inject an
+        ``engine=`` built around
+        :class:`~repro.stream.incremental.PerTileOracle`.
     tenant:
         The QoS/attribution identity stamped on every frame request
         (default ``"stream"``).  Fleet serving (:mod:`repro.fleet`) gives
@@ -167,9 +165,7 @@ class StreamSession:
         halo: int = 1,
         voxel_tile: int = 48,
         min_points: int = 256,
-        min_points_per_tile: int = 0,
         use_tiles: bool = True,
-        incremental_voxelize: bool = True,
         tenant: str = "stream",
         geometry_only: bool | str = "auto",
         deadline_ms: float | None = None,
@@ -199,8 +195,6 @@ class StreamSession:
                 TileMapCache(
                     tile_size=tile_size, halo=halo,
                     voxel_tile=voxel_tile, min_points=min_points,
-                    min_points_per_tile=min_points_per_tile,
-                    incremental_voxelize=incremental_voxelize,
                 )
                 if use_tiles
                 else None
@@ -210,6 +204,7 @@ class StreamSession:
                 policy="fifo",
                 map_cache=streaming_map_cache(),
                 tile_cache=self.tile_cache,
+                reuse_traces=False,
             )
         self._stats = StreamStats()
         self._next_frame = 0

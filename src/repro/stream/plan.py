@@ -24,10 +24,10 @@ same bit-identity contracts, restructured into four phases:
 ``probe``
     One ``get_many`` round trip through the chain
     (:meth:`repro.mapping.hooks.TieredLookup.get_many`) instead of one
-    chain walk per tile.  A *whole-call* probe runs first: the composed
-    result of a byte-identical previous call (a submanifold layer sharing
-    its cloud, a geometry-only replay, another shard presenting the same
-    frame) is served outright, skipping decomposition entirely.
+    chain walk per tile.  There is no whole-call probe: within a frame
+    the model already reuses each kernel map per downsampling step
+    (``SparseConv._map_cache_key``), so a repeated call is served from
+    tile hits and recomposed.
 
 ``execute``
     Only the missed tiles compute, grouped per operator, and flow back in
@@ -61,7 +61,7 @@ reference the property suite compares against, not a serving mode.
 from __future__ import annotations
 
 import hashlib
-from collections import OrderedDict, deque
+from collections import deque
 
 import numpy as np
 
@@ -85,7 +85,6 @@ __all__ = [
     "run_kernel_map",
     "run_knn",
     "run_voxelize",
-    "whole_key",
 ]
 
 _KERNEL_PREFIX = "kernel_map/"
@@ -93,13 +92,13 @@ _KERNEL_PREFIX = "kernel_map/"
 #: Tile cache-universe version tag.  Every serving sub-key starts with it,
 #: so a format change only has to bump the tag to retire the old universe;
 #: and because it makes every key longer than the 16-byte digests the
-#: legacy per-tile oracle (and every whole-call probe) uses, new-format
-#: and legacy keys can never collide.
+#: legacy per-tile oracle uses, new-format and legacy keys can never
+#: collide.
 _KEY_VERSION = b"T2"
 
 
 # ----------------------------------------------------------------------
-# Keys: versioned fixed-width tile keys + legacy-format whole-call probes
+# Keys: versioned fixed-width tile keys
 # ----------------------------------------------------------------------
 
 
@@ -116,19 +115,6 @@ def _key_prefix(*parts) -> bytes:
     for part in parts:
         _hash_part(h, part)
     return _KEY_VERSION + h.digest()
-
-
-def whole_key(op: str, arrays, params: dict) -> bytes:
-    """Content key of one whole mapping call (the plan path's L0 probe)."""
-    h = hashlib.blake2b(digest_size=_DIGEST_SIZE)
-    _hash_part(h, b"tile/whole")
-    _hash_part(h, op)
-    for arr in arrays:
-        _hash_part(h, np.asarray(arr))
-    for name in sorted(params):
-        _hash_part(h, name)
-        _hash_part(h, params[name])
-    return h.digest()
 
 
 # ----------------------------------------------------------------------
@@ -199,14 +185,6 @@ def run_knn(front, chain, queries, references, k: int):
     """Plan/probe/execute kNN; bit-identical to the per-tile front."""
     stats = front.stats()
     ledger = current_ledger()
-    wkey = whole_key("knn", (queries, references), {"k": int(k)})
-    with _span("probe", op="knn", whole=True):
-        whole = chain.get(wkey, "knn/whole", copy=True)
-    stats._count("knn/whole", whole is not None)
-    if whole is not None:
-        if ledger is not None:
-            ledger.call("knn", 0, cause="probe_hit")
-        return whole
     with _span("plan", op="knn") as plan_sp:
         qpart, rpart, r_cov = front._float_tiles(queries, references)
         r_cov2 = r_cov * r_cov
@@ -277,7 +255,6 @@ def run_knn(front, chain, queries, references, k: int):
         f_idx, f_dist = _knn_compute(queries[rows], references, k)
         idx_out[rows] = f_idx
         dist_out[rows] = f_dist
-    chain.put(wkey, (idx_out, dist_out), "knn/whole", copy=True)
     return idx_out, dist_out
 
 
@@ -285,17 +262,6 @@ def run_ball_query(front, chain, queries, references, radius: float, k: int):
     """Plan/probe/execute ball query; bit-identical to the per-tile front."""
     stats = front.stats()
     ledger = current_ledger()
-    wkey = whole_key(
-        "ball_query", (queries, references),
-        {"radius": float(radius), "k": int(k)},
-    )
-    with _span("probe", op="ball_query", whole=True):
-        whole = chain.get(wkey, "ball_query/whole", copy=True)
-    stats._count("ball_query/whole", whole is not None)
-    if whole is not None:
-        if ledger is not None:
-            ledger.call("ball_query", 0, cause="probe_hit")
-        return whole
     with _span("plan", op="ball_query") as plan_sp:
         qpart, rpart, r_cov = front._float_tiles(queries, references)
         r_cov2 = r_cov * r_cov
@@ -370,7 +336,6 @@ def run_ball_query(front, chain, queries, references, radius: float, k: int):
         stats.fallback_rows += len(rows)
         f_idx, _, _ = _ball_query_details(queries[rows], references, radius, k)
         idx_out[rows] = f_idx
-    chain.put(wkey, idx_out, "ball_query/whole", copy=True)
     return idx_out
 
 
@@ -691,18 +656,7 @@ def run_kernel_map(front, chain, op, in_coords, out_coords, offsets):
     algorithm = op[len(_KERNEL_PREFIX):]
     offsets_raw = np.asarray(offsets)  # hashed as passed (per-tile parity)
     offsets_arr = np.asarray(offsets, dtype=np.int64)
-    wkey = whole_key(op, (in_coords, out_coords, offsets_raw), {})
-    with _span("probe", op=op, whole=True):
-        whole = chain.get(wkey, op + "/whole", copy=False)
-    stats._count(op + "/whole", whole is not None)
     ledger = current_ledger()
-    if whole is not None:
-        # Composed MapTables are immutable by library convention, so the
-        # stored object is returned outright — which also lets the MMU's
-        # per-instance cache-replay memo carry across frames.
-        if ledger is not None:
-            ledger.call(op, 0, cause="probe_hit")
-        return whole
     with _span("plan", op=op) as plan_sp:
         reach = int(np.abs(offsets_arr).max()) if len(offsets_arr) else 0
         side = max(front.voxel_tile, 2 * reach)
@@ -782,9 +736,7 @@ def run_kernel_map(front, chain, op, in_coords, out_coords, offsets):
         live_sub_keys.append(sub_keys[j])
     if not rows_in:
         empty = np.empty(0, dtype=np.int64)
-        table = MapTable(empty, empty, empty, kernel_volume=len(offsets_arr))
-        chain.put(wkey, table, op + "/whole", copy=False)
-        return table
+        return MapTable(empty, empty, empty, kernel_volume=len(offsets_arr))
     p_idx = np.concatenate(rows_in).astype(np.int64)
     q_idx = np.concatenate(rows_out).astype(np.int64)
     w_idx = np.concatenate(rows_w).astype(np.int64)
@@ -810,12 +762,10 @@ def run_kernel_map(front, chain, op, in_coords, out_coords, offsets):
                 ledger.splice(op, "full_sort")
             else:
                 ledger.splice(op, "spliced")
-    table = MapTable(
+    return MapTable(
         p_idx[order], q_idx[order], w_idx[order],
         kernel_volume=len(offsets_arr),
     )
-    chain.put(wkey, table, op + "/whole", copy=False)
-    return table
 
 
 # ----------------------------------------------------------------------
@@ -826,20 +776,12 @@ def run_kernel_map(front, chain, op, in_coords, out_coords, offsets):
 def run_voxelize(front, chain, points, voxel_size: float):
     """Plan/probe/execute one voxelize call (halo-free disjoint tiles)."""
     stats = front.stats()
-    wkey = whole_key("voxelize", (points,), {"voxel_size": float(voxel_size)})
-    with _span("probe", op="voxelize", whole=True):
-        whole = chain.get(wkey, "voxelize/whole", copy=True)
-    stats._count("voxelize/whole", whole is not None)
     ledger = current_ledger()
-    if whole is not None:
-        if ledger is not None:
-            ledger.call("voxelize", 0, cause="probe_hit")
-        return whole
     with _span("plan", op="voxelize") as plan_sp:
         grid = np.floor(points / voxel_size).astype(np.int64)
         side = 4 * front.voxel_tile
-        # The partition memo is content-keyed, so the density-bypass check
-        # (and a geometry-only replay of the same grid) shares this build.
+        # The partition memo is content-keyed, so a geometry-only replay
+        # of the same grid shares this build.
         part = front._partition(grid, side)
         digests = part.digest_all()
         pre = _key_prefix(b"tile/voxelize", int(side))
@@ -930,6 +872,4 @@ def run_voxelize(front, chain, points, voxel_size: float):
     # order of the entries, so the whole inverse scatters in one shot.
     inverse[part._order] = rank[all_inv + np.repeat(key_bounds[:-1], counts)]
     stats.certified_rows += len(points)
-    result = (keys_to_coords(all_keys[order], grid.shape[1]), inverse)
-    chain.put(wkey, result, "voxelize/whole", copy=True)
-    return result
+    return keys_to_coords(all_keys[order], grid.shape[1]), inverse

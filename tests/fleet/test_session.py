@@ -86,14 +86,13 @@ class TestMechanics:
         fleet.run()
         assert fleet.world_store.stats().cross_hits == 0
 
-    def test_share_world_tiles_off(self):
-        fleet = _fleet([_spec("a", 0.0), _spec("b", 1.0)],
-                       share_world_tiles=False)
-        assert fleet.world_store is None
-        results = fleet.run()
-        assert all(f.completed for frames in results.values() for f in frames)
-        assert "world_tiles" not in fleet.summary()
-        assert fleet.summary()["tiles"]["tile_hits"] > 0
+    @pytest.mark.parametrize("n_shards", [0, 2])
+    def test_frames_leave_no_memoized_trace(self, n_shards):
+        fleet = _fleet([_spec("a", 0.0), _spec("b", 1.0)], n_shards=n_shards)
+        fleet.run()
+        engines = fleet.executor.shards if n_shards else [fleet.executor]
+        for engine in engines:
+            assert not engine._traces and not engine._reports
 
     def test_engine_executor(self):
         fleet = _fleet([_spec("a", 0.0), _spec("b", 1.0)], n_shards=0)

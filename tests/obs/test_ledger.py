@@ -32,14 +32,14 @@ class TestEvents:
         assert event["op"] == "knn"
         assert event["n"] == 3
 
-    def test_call_accounting_splits_probe_hits_from_planned(self):
+    def test_call_accounting_sums_planned_tiles(self):
         ledger = RecomputeLedger()
-        ledger.call("knn", 0, cause="probe_hit")
+        ledger.call("knn", 0)
         ledger.call("knn", 12)
         assert ledger.calls == 2
-        assert ledger.probe_hits == 1
         assert ledger.planned_tiles == 12
-        assert ledger.causes["probe_hit"] == 1
+        assert not ledger.causes  # calls classify no tiles themselves
+        assert [e["cause"] for e in ledger.events()] == ["planned"] * 2
 
     def test_eviction_aggregates_per_tier(self):
         ledger = RecomputeLedger()
@@ -72,10 +72,7 @@ class TestSummaryAndDump:
     def test_every_tile_cause_is_summarizable(self):
         ledger = RecomputeLedger()
         for cause in TILE_CAUSES:
-            if cause == "probe_hit":
-                ledger.call("knn", 0, cause="probe_hit")
-            else:
-                ledger.tile("knn", cause, 2)
+            ledger.tile("knn", cause, 2)
         assert set(ledger.summary()["causes"]) == set(TILE_CAUSES)
 
     def test_dump_jsonl_one_parseable_object_per_event(self, tmp_path):

@@ -57,18 +57,13 @@ def oracles():
     return out
 
 
-@pytest.mark.parametrize("incremental_voxelize", [True, False],
-                         ids=["vox-incr", "vox-cold"])
 @pytest.mark.parametrize("n_shards", [0, 2], ids=["engine", "cluster"])
 @pytest.mark.parametrize("regions", ["overlapping", "disjoint"])
 @pytest.mark.parametrize("n_streams", [2, 4])
 def test_fleet_bit_identical_to_cold_alone(oracles, n_streams, regions,
-                                           n_shards, incremental_voxelize):
+                                           n_shards):
     specs = _specs(n_streams, regions)
-    fleet = FleetSession(
-        specs, n_shards=n_shards, min_points=64,
-        incremental_voxelize=incremental_voxelize,
-    )
+    fleet = FleetSession(specs, n_shards=n_shards, min_points=64)
     results = fleet.run()
     for spec in specs:
         cold = oracles[spec.sequence.token]

@@ -3,11 +3,11 @@
 The acceptance contract of the batched tile front: for every op family it
 decomposes ({kNN, ball query, kernel map, voxelize}), across executors
 ({engine, cluster, fleet}) and tile sizes, the plan path — vectorized
-digests, ``get_many`` batching, whole-call reuse, delta-composed kernel
-maps — produces results bit-identical to the cold reference computation
-AND to the per-tile oracle it replaced (:class:`PerTileOracle`), cold and
-warm, frame over frame.  Splices, certificates, whole-call hits and the
-density bypass are wall-clock phenomena only.
+digests, ``get_many`` batching, delta-composed kernel maps — produces
+results bit-identical to the cold reference computation AND to the
+per-tile oracle it replaced (:class:`PerTileOracle`), cold and warm,
+frame over frame.  Splices and certificates are wall-clock phenomena
+only.
 """
 
 import numpy as np
@@ -212,15 +212,3 @@ def test_fleet_batched_bit_identical(bench_name):
     assert store is not None
     # The second vehicle rides tiles the first one paid for.
     assert store.stats().cross_hits > 0
-
-
-def test_bypassed_session_bit_identical(sequence, oracles):
-    """An aggressive density floor (everything bypasses) must still equal
-    the oracle — the bypass only re-routes to the digest path."""
-    session = StreamSession(
-        sequence, "MinkNet(o)", scale=0.25, min_points=64,
-        min_points_per_tile=1 << 16,
-    )
-    _assert_matches(session, oracles["MinkNet(o)"])
-    assert session.tile_cache.stats().bypassed_calls > 0
-    assert session.tile_cache.stats().decomposed_calls == 0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import EngineCluster
-from repro.engine import SimulationEngine
+from repro.engine import SimRequest, SimulationEngine, run_cold
 from repro.stream import (
     FrameSequence,
     SequenceConfig,
@@ -140,6 +140,19 @@ class TestTileReuseEndToEnd:
         snap = session.tile_cache.stats().snapshot()
         assert snap["tile_hits"] > 0
         assert "kernel_map/mergesort" in snap["by_op"]
+
+    def test_frames_leave_no_memoized_trace(self, seq):
+        """Frame request keys carry the frame index and never recur, so
+        the session's engine keeps no trace/report memo: after 3 frames
+        it holds none, and every frame still equals its cold run."""
+        session = StreamSession(seq, "MinkNet(o)", scale=0.2, min_points=64)
+        frames = session.run(3)
+        assert not session.executor._traces
+        assert not session.executor._reports
+        for frame in frames:
+            cold = run_cold(SimRequest(benchmark=session.notation, scale=0.2,
+                                       seed=frame.index))
+            assert frame.result.reports["pointacc"] == cold.reports["pointacc"]
 
     def test_tile_stats_reachable_from_engine_stats(self, seq):
         session = StreamSession(seq, "MinkNet(o)", scale=0.2, min_points=64)

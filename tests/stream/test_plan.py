@@ -5,8 +5,8 @@ Exactness of the batched front against the reference ops is covered by
 property suites; this file pins the plan-specific machinery — the
 versioned fixed-width key universe (disjoint from the oracle's legacy
 digests by construction), the ``get_many``/``put_many`` chain semantics,
-whole-call reuse, the kernel composer's splice and its certificate, and
-the small-cloud density bypass.
+replay from tile hits, and the kernel composer's splice and its
+certificate.
 """
 
 import numpy as np
@@ -110,8 +110,7 @@ class TestKeyFormat:
     def test_store_key_sets_disjoint_on_real_traffic(self, rng):
         """Run identical traffic through the planner and the oracle into
         separate stores: not a single key in common, across every op
-        family (the whole-call entries only the planner writes
-        included)."""
+        family."""
         cloud = rng.uniform(0, 20, (500, 3))
         coords, _ = quantize_unique(rng.integers(0, 64, (700, 3)), 1)
         pts = rng.uniform(0, 30, (2000, 3))
@@ -172,30 +171,40 @@ class TestBatchChainApi:
                 assert np.array_equal(b, s)
 
 
-class TestWholeCallReuse:
-    def test_identical_kernel_calls_share_one_table(self, rng):
-        coords, _ = quantize_unique(rng.integers(0, 60, (600, 3)), 1)
-        front, _, chain = _pair(voxel_tile=8)
-        with use_map_cache(chain):
-            first = kernel_map(coords, coords, kernel_size=3)
-            second = kernel_map(coords.copy(), coords.copy(), kernel_size=3)
-        # Content-keyed: a fresh equal-content array still hits, and the
-        # composed table is the same immutable object (which is what lets
-        # the MMU cache-replay memo carry across frames).
-        assert second is first
-        assert front.stats().by_op["kernel_map/mergesort/whole"]["hits"] == 1
-
-    def test_knn_whole_hits_are_owned(self, rng):
+class TestReplay:
+    def test_repeated_calls_served_from_tiles_and_owned(self, rng):
+        """The same kNN and kernel-map call made twice: the second is
+        served entirely from tile hits, equals the first bit for bit, and
+        owns its arrays (scribbling on the first result leaves it and the
+        cached tiles untouched)."""
         cloud = rng.uniform(0, 16, (300, 3))
-        front, _, chain = _pair(tile_size=4.0)
+        coords, _ = quantize_unique(rng.integers(0, 60, (600, 3)), 1)
+        front, _, chain = _pair(tile_size=4.0, voxel_tile=8)
         with use_map_cache(chain):
             idx1, dist1 = knn_indices(cloud, cloud, 4)
-            idx1[:] = -1  # scribble on the result...
-            idx2, _ = knn_indices(cloud, cloud, 4)
-        # ...and the cached whole-call entry must be unaffected.
-        assert not np.array_equal(idx1, idx2)
-        assert idx2.base is None
-        assert front.stats().by_op["knn/whole"]["hits"] == 1
+            table1 = kernel_map(coords, coords, kernel_size=3)
+            expect_idx, expect_dist = idx1.copy(), dist1.copy()
+            expect_in = table1.in_idx.copy()
+            misses0 = front.stats().tile_misses
+            idx2, dist2 = knn_indices(cloud, cloud, 4)
+            idx1[:] = -1
+            dist1[:] = -1.0
+            table2 = kernel_map(coords.copy(), coords.copy(), kernel_size=3)
+            table1.in_idx[:] = -1
+            idx3, _ = knn_indices(cloud, cloud, 4)
+            table3 = kernel_map(coords, coords, kernel_size=3)
+        assert front.stats().tile_misses == misses0
+        assert np.array_equal(idx2, expect_idx)
+        assert np.array_equal(dist2, expect_dist)
+        assert np.array_equal(table2.in_idx, expect_in)
+        assert np.array_equal(idx3, expect_idx)
+        assert np.array_equal(table3.in_idx, expect_in)
+        reference = kernel_map(coords, coords, kernel_size=3)
+        for got in (table2, table3):
+            assert np.array_equal(got.in_idx, reference.in_idx)
+            assert np.array_equal(got.out_idx, reference.out_idx)
+            assert np.array_equal(got.weight_idx, reference.weight_idx)
+        assert np.array_equal(idx2, knn_indices(cloud, cloud, 4)[0])
 
 
 class TestDeltaComposition:
@@ -266,9 +275,9 @@ class TestDeltaComposition:
         with use_map_cache(chain):
             for rounds in range(2):
                 for i, coords in enumerate(clouds):
-                    # Perturb per round so whole-call reuse cannot mask
-                    # the composer (drop one corner tile per round,
-                    # relative to each caller's own region).
+                    # Perturb per round so the composer has a delta to
+                    # splice (drop one corner tile per round, relative to
+                    # each caller's own region).
                     keep = ~np.all(coords < 200 * i + 8 * rounds, axis=1)
                     frame = np.ascontiguousarray(coords[keep])
                     assert rounds == 0 or len(frame) < len(coords)
@@ -287,39 +296,3 @@ class TestDeltaComposition:
             kernel_map(coords, coords, kernel_size=3)
         snap = front.stats().snapshot()
         assert snap["compose"]["full_sorts"] >= 1
-
-
-class TestDensityBypass:
-    def test_sparse_cloud_takes_whole_op_path(self, rng):
-        # ~500 points over a 20m span at 2m tiles: ~0.5 points per tile.
-        cloud = rng.uniform(0, 20, (500, 3))
-        front, _, chain = _pair(tile_size=2.0, min_points_per_tile=8)
-        expect = knn_indices(cloud, cloud, 4)
-        with use_map_cache(chain):
-            got = knn_indices(cloud, cloud, 4)
-        assert np.array_equal(expect[0], got[0])
-        assert front.stats().decomposed_calls == 0
-        assert front.stats().bypassed_calls == 1
-        assert chain.stats().misses == 1  # the whole-op digest path ran
-
-    def test_dense_cloud_still_decomposes(self, rng):
-        cloud = rng.uniform(0, 8, (2000, 3))  # ~30+ points per 2m tile
-        front, _, chain = _pair(tile_size=2.0, min_points_per_tile=8)
-        with use_map_cache(chain):
-            knn_indices(cloud, cloud, 4)
-        assert front.stats().decomposed_calls == 1
-        assert front.stats().bypassed_calls == 0
-
-    def test_bypass_applies_to_kernel_maps_and_voxelize(self, rng):
-        coords, _ = quantize_unique(rng.integers(0, 500, (400, 3)), 1)
-        front, _, chain = _pair(voxel_tile=4,
-                                min_points_per_tile=16)
-        with use_map_cache(chain):
-            kernel_map(coords, coords, kernel_size=3)
-            voxelize(rng.uniform(0, 300, (400, 3)), 1.0)
-        assert front.stats().decomposed_calls == 0
-        assert front.stats().bypassed_calls == 2
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            TileMapCache(min_points_per_tile=-1)

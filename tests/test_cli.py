@@ -25,13 +25,12 @@ class TestParser:
         args = build_parser().parse_args(["serve-stream"])
         assert args.benchmark == "MinkNet(o)"
         assert args.shards == 0 and not args.no_tiles
-        assert args.min_tile_points == 0 and not args.no_batch
 
     def test_fleet_tile_front_knobs(self):
         args = build_parser().parse_args(
-            ["serve-fleet", "--min-tile-points", "32", "--no-batch"]
+            ["serve-fleet", "--tile-size", "2.5", "--halo", "2", "--no-tiles"]
         )
-        assert args.min_tile_points == 32 and args.no_batch
+        assert args.tile_size == 2.5 and args.halo == 2 and args.no_tiles
 
     def test_bench_stream_rejects_unknown_benchmark(self):
         with pytest.raises(SystemExit):
@@ -176,25 +175,6 @@ class TestCommands:
         assert "tile reuse by op" in out
         assert "geometry-only: yes" in out
 
-    def test_serve_stream_density_bypass(self, capsys):
-        """The density-floor knob wires through: a floor high enough that
-        every call bypasses decomposition still serves every frame."""
-        code = main(["serve-stream", "--frames", "2", "--scale", "0.12",
-                     "--benchmark", "MinkNet(o)",
-                     "--min-tile-points", "100000"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "served 2/2 frames" in out
-
-    def test_no_batch_is_a_clear_error(self, capsys):
-        """--no-batch parses (so old scripts fail loudly, not with an
-        argparse usage dump) but serving with it is a removal error."""
-        code = main(["serve-stream", "--frames", "1", "--no-batch"])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "--no-batch was removed" in err
-        assert "PerTileOracle" in err
-
     def test_serve_stream_cluster_with_deadlines(self, capsys):
         code = main(["serve-stream", "--frames", "2", "--scale", "0.1",
                      "--benchmark", "PointNet++(c)", "--shards", "2",
@@ -203,6 +183,19 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "served 2/2 frames" in out
         assert "met" in out
+
+    def test_stream_cluster_keeps_no_request_memo(self):
+        from repro.cli import _build_stream_session
+
+        args = build_parser().parse_args(
+            ["serve-stream", "--frames", "2", "--scale", "0.1", "--shards", "2"]
+        )
+        session = _build_stream_session(args)
+        session.run(2)
+        assert session.executor.shards
+        for engine in session.executor.shards:
+            assert not engine.reuse_traces
+            assert not engine._traces and not engine._reports
 
     def test_bench_stream_with_json(self, tmp_path, capsys):
         import json
