@@ -5,7 +5,7 @@ Exactness of the batched front against the reference ops is covered by
 property suites; this file pins the plan-specific machinery — the
 versioned fixed-width key universe (disjoint from the oracle's legacy
 digests by construction), the ``get_many``/``put_many`` chain semantics,
-replay from tile hits, and the kernel composer's splice and its
+whole-call replay from tile hits, and the kernel composer's splice and its
 certificate.
 """
 
@@ -171,39 +171,51 @@ class TestBatchChainApi:
                 assert np.array_equal(b, s)
 
 
-class TestReplay:
-    def test_repeated_calls_served_from_tiles_and_owned(self, rng):
-        """The same kNN and kernel-map call made twice: the second is
-        served entirely from tile hits, equals the first bit for bit, and
-        owns its arrays (scribbling on the first result leaves it and the
-        cached tiles untouched)."""
-        cloud = rng.uniform(0, 16, (300, 3))
+class TestWholeCallReuse:
+    def test_identical_kernel_calls_share_one_table(self, rng):
+        """The same kernel-map call made twice, the second on fresh
+        equal-content arrays: it is served entirely from the cached tiles
+        (no tile misses), equals the first and the reference bit for bit,
+        and owns its arrays."""
         coords, _ = quantize_unique(rng.integers(0, 60, (600, 3)), 1)
-        front, _, chain = _pair(tile_size=4.0, voxel_tile=8)
+        front, _, chain = _pair(voxel_tile=8)
         with use_map_cache(chain):
-            idx1, dist1 = knn_indices(cloud, cloud, 4)
-            table1 = kernel_map(coords, coords, kernel_size=3)
-            expect_idx, expect_dist = idx1.copy(), dist1.copy()
-            expect_in = table1.in_idx.copy()
+            first = kernel_map(coords, coords, kernel_size=3)
+            expect_in = first.in_idx.copy()
             misses0 = front.stats().tile_misses
-            idx2, dist2 = knn_indices(cloud, cloud, 4)
-            idx1[:] = -1
-            dist1[:] = -1.0
-            table2 = kernel_map(coords.copy(), coords.copy(), kernel_size=3)
-            table1.in_idx[:] = -1
-            idx3, _ = knn_indices(cloud, cloud, 4)
-            table3 = kernel_map(coords, coords, kernel_size=3)
+            hits0 = front.stats().tile_hits
+            second = kernel_map(coords.copy(), coords.copy(), kernel_size=3)
+            first.in_idx[:] = -1  # scribble on the first result...
+            third = kernel_map(coords, coords, kernel_size=3)
         assert front.stats().tile_misses == misses0
-        assert np.array_equal(idx2, expect_idx)
-        assert np.array_equal(dist2, expect_dist)
-        assert np.array_equal(table2.in_idx, expect_in)
-        assert np.array_equal(idx3, expect_idx)
-        assert np.array_equal(table3.in_idx, expect_in)
+        assert front.stats().tile_hits > hits0
+        # ...and neither the replay nor the cached tiles see it.
+        assert np.array_equal(second.in_idx, expect_in)
+        assert np.array_equal(third.in_idx, expect_in)
         reference = kernel_map(coords, coords, kernel_size=3)
-        for got in (table2, table3):
+        for got in (second, third):
             assert np.array_equal(got.in_idx, reference.in_idx)
             assert np.array_equal(got.out_idx, reference.out_idx)
             assert np.array_equal(got.weight_idx, reference.weight_idx)
+
+    def test_knn_whole_hits_are_owned(self, rng):
+        """A repeated kNN call is served from tile hits and owns its
+        result: scribbling on one answer leaves the next untouched."""
+        cloud = rng.uniform(0, 16, (300, 3))
+        front, _, chain = _pair(tile_size=4.0)
+        with use_map_cache(chain):
+            idx1, dist1 = knn_indices(cloud, cloud, 4)
+            expect_idx, expect_dist = idx1.copy(), dist1.copy()
+            misses0 = front.stats().tile_misses
+            idx1[:] = -1  # scribble on the result...
+            dist1[:] = -1.0
+            idx2, dist2 = knn_indices(cloud, cloud, 4)
+        # ...and the cached tiles must be unaffected.
+        assert front.stats().tile_misses == misses0
+        assert not np.array_equal(idx1, idx2)
+        assert idx2.base is None
+        assert np.array_equal(idx2, expect_idx)
+        assert np.array_equal(dist2, expect_dist)
         assert np.array_equal(idx2, knn_indices(cloud, cloud, 4)[0])
 
 
